@@ -12,6 +12,13 @@
  * preserves the campaign engine's isolation guarantee: jobs never
  * share mutable state.
  *
+ * Single-flight: each key is built once, even when several workers
+ * ask for it at the same moment. The first caller inserts the entry
+ * (counted as the one miss) and builds outside the lock; callers that
+ * find the entry — finished or still being built — count as hits and
+ * wait on the same build. A build that throws removes its entry, so a
+ * failed key is never cached and the next caller tries afresh.
+ *
  * Bounded LRU: the full workload registry is small (~26 programs),
  * but instructionLimit is part of the key by contract, so unbounded
  * growth across many-budget campaigns is capped.
@@ -21,6 +28,7 @@
 #define CTCPSIM_SERVICE_WORKLOAD_CACHE_HH
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -39,13 +47,17 @@ class WorkloadCache
     {}
 
     /**
-     * The Program for @p benchmark under @p instructionLimit, built on
-     * first use and cached after. The returned pointer stays valid
-     * even if the entry is evicted (shared ownership); callers that
-     * need a private copy (campaign jobs) copy the pointee.
+     * The Program for @p benchmark under @p instructionLimit, built
+     * once on first use and cached after; a concurrent caller for a
+     * key whose build is in flight waits for it. The returned pointer
+     * stays valid even if the entry is evicted (shared ownership);
+     * callers that need a private copy (campaign jobs) copy the
+     * pointee.
      * @throws std::invalid_argument for an unknown benchmark — the
      *         same error (and message) a campaign builder raises, so
-     *         cached and uncached failure reports match byte for byte
+     *         cached and uncached failure reports match byte for byte;
+     *         rejected before the lookup, so it never takes a slot
+     * @throws whatever the build throws, to every caller waiting on it
      */
     std::shared_ptr<const Program> get(const std::string &benchmark,
                                        std::uint64_t instructionLimit);
@@ -64,7 +76,8 @@ class WorkloadCache
     struct Entry
     {
         std::string key;
-        std::shared_ptr<const Program> program;
+        /** Ready once the first caller's build finishes or throws. */
+        std::shared_future<std::shared_ptr<const Program>> program;
     };
 
     mutable std::mutex mutex_;

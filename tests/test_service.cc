@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -252,6 +254,39 @@ TEST(WorkloadCache, UnknownBenchmarkMatchesCampaignError)
         EXPECT_EQ(std::string(e.what()),
                   "unknown benchmark 'no_such_bench'");
     }
+    // A rejected name never takes a slot or counts as a lookup.
+    const service::WorkloadCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(WorkloadCache, ConcurrentFirstUseBuildsOnce)
+{
+    // The daemon's shape: several pool workers start jobs on the same
+    // workload at once. The key must be built once; every other caller
+    // waits on that build and counts as a hit.
+    constexpr std::size_t callers = 8;
+    service::WorkloadCache cache(4);
+    std::latch start(callers);
+    std::vector<std::shared_ptr<const Program>> got(callers);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < callers; ++i)
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[i] = cache.get("gzip", 5'000);
+        });
+    for (auto &t : threads)
+        t.join();
+
+    const service::WorkloadCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, callers - 1);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.evictions, 0u);
+    ASSERT_NE(got[0], nullptr);
+    for (std::size_t i = 1; i < callers; ++i)
+        EXPECT_EQ(got[i].get(), got[0].get()) << "caller " << i;
 }
 
 // ---- Persistent pool ---------------------------------------------------
