@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "config/presets.hh"
 #include "core/simulator.hh"
 #include "workload/workload.hh"
@@ -48,6 +50,17 @@ constexpr Golden goldens[] = {
     {"adpcm_enc", 2, 82534ull, 50005ull},
     {"adpcm_enc", 3, 89840ull, 50007ull},
 };
+
+// Without a printer gtest shows a Golden as raw bytes, which include the
+// address of the benchmark-name literal. That address moves with every
+// run under ASLR, and gtest_discover_tests copies the printed parameter
+// into each CTest test name, so the names would change on every build.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.benchmark << '/'
+        << assignStrategyName(static_cast<AssignStrategy>(g.strategy));
+}
 
 class GoldenRegression : public ::testing::TestWithParam<Golden>
 {};
