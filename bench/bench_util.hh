@@ -4,13 +4,13 @@
  *
  * Every harness accepts:
  *   argv[1] (optional)  instruction budget per run (default 300000)
- *   argv[2] (optional)  worker threads for matrix harnesses
- *                       (default 0 = one per hardware thread)
+ *   argv[2] (optional)  worker threads (default 0 = one per hardware
+ *                       thread)
  *
- * Matrix-heavy harnesses queue their (benchmark x configuration) runs
- * on a MatrixHarness, which executes them concurrently through the
- * campaign engine; aggregation is deterministic, so a harness prints
- * the same table for any worker count.
+ * Every harness queues its (benchmark x configuration) runs on a
+ * MatrixHarness, which executes them concurrently through the campaign
+ * engine; aggregation is deterministic, so a harness prints the same
+ * table for any worker count.
  */
 
 #ifndef CTCPSIM_BENCH_BENCH_UTIL_HH
@@ -27,7 +27,6 @@
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
 #include "config/presets.hh"
-#include "core/simulator.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 #include "workload/workload.hh"
@@ -54,16 +53,6 @@ jobsFromArgs(int argc, char **argv)
         return static_cast<unsigned>(
             std::strtoul(argv[2], nullptr, 10));
     return 0;
-}
-
-/** Run one simulation serially (for the single-column harnesses). */
-inline SimResult
-simulate(const std::string &bench, SimConfig cfg, std::uint64_t budget)
-{
-    cfg.instructionLimit = budget;
-    Program p = workloads::build(bench);
-    CtcpSimulator sim(cfg, p);
-    return sim.run();
 }
 
 /** Base config with a strategy applied. */

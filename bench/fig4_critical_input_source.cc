@@ -23,10 +23,15 @@ main(int argc, char **argv)
            "averages: from RF 44%, from RS1 31%, from RS2 25%",
            budget);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        runs.add(bench, baseConfig(), "base");
+    runs.run();
+
     TextTable table({"benchmark", "from RF", "from RS1", "from RS2"});
     double rf = 0, r1 = 0, r2 = 0;
     for (const std::string &bench : selectedSix()) {
-        const SimResult r = simulate(bench, baseConfig(), budget);
+        const SimResult &r = runs.at(bench, "base");
         table.row(bench)
             .percentCell(r.pctCritFromRF)
             .percentCell(r.pctCritFromRs1)

@@ -47,14 +47,23 @@ main(int argc, char **argv)
         headers.push_back(m.label);
     TextTable table(headers);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix()) {
+        runs.add(bench, baseConfig(), "base");
+        for (const Mode &m : modes) {
+            SimConfig cfg = baseConfig();
+            m.apply(cfg.ablation);
+            runs.add(bench, cfg, m.label);
+        }
+    }
+    runs.run();
+
     std::vector<std::vector<double>> speedups(modes.size());
     for (const std::string &bench : selectedSix()) {
-        const SimResult base = simulate(bench, baseConfig(), budget);
+        const SimResult &base = runs.at(bench, "base");
         table.row(bench);
         for (std::size_t m = 0; m < modes.size(); ++m) {
-            SimConfig cfg = baseConfig();
-            modes[m].apply(cfg.ablation);
-            const SimResult r = simulate(bench, cfg, budget);
+            const SimResult &r = runs.at(bench, modes[m].label);
             const double speedup =
                 static_cast<double>(base.cycles) /
                 static_cast<double>(r.cycles);

@@ -23,13 +23,17 @@ main(int argc, char **argv)
            "averages: A 37, B 18, C 9, D 11, E 24, skipped <1",
            budget);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        runs.add(bench, withStrategy(baseConfig(), AssignStrategy::Fdrt),
+                 "fdrt");
+    runs.run();
+
     TextTable table({"benchmark", "A intra", "B chain", "C both",
                      "D consumer", "E none", "skipped"});
     double sums[6] = {0, 0, 0, 0, 0, 0};
     for (const std::string &bench : selectedSix()) {
-        const SimResult r = simulate(
-            bench, withStrategy(baseConfig(), AssignStrategy::Fdrt),
-            budget);
+        const SimResult &r = runs.at(bench, "fdrt");
         table.row(bench)
             .percentCell(r.pctOptionA)
             .percentCell(r.pctOptionB)

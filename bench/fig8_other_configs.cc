@@ -1,10 +1,11 @@
 /**
  * @file
  * Figure 8 — strategy speedups under alternate cluster architectures:
- * a mesh interconnect (end clusters adjacent), one-cycle inter-cluster
- * forwarding, and an eight-wide machine with two four-wide clusters
- * (issue-time analysis latency drops to two cycles). Speedups are
- * relative to the matching architecture's own base machine.
+ * a mesh interconnect (the ring topology: end clusters adjacent),
+ * one-cycle inter-cluster forwarding, and an eight-wide machine with
+ * two four-wide clusters (issue-time analysis latency drops to two
+ * cycles). Speedups are relative to the matching architecture's own
+ * base machine.
  *
  * Paper shape: absolute speedups shrink for every strategy versus the
  * original architecture, FDRT stays ahead of issue-time steering in
@@ -31,7 +32,7 @@ main(int argc, char **argv)
         SimConfig (*make)();
     };
     const std::vector<Variant> variants = {
-        {"Mesh Network", meshConfig},
+        {"Mesh Network", ringConfig},
         {"One Cycle Forward Lat", oneCycleForwardConfig},
         {"Eight-wide, Two-cluster", twoClusterConfig},
     };

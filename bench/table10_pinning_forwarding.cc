@@ -21,16 +21,22 @@ main(int argc, char **argv)
            "averages: with pinning 60.51% vs no pinning 58.57%",
            budget);
 
-    TextTable table({"benchmark", "With Pinning", "No Pinning"});
-    double sp = 0, snp = 0;
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
     for (const std::string &bench : selectedSix()) {
         SimConfig pin_cfg = withStrategy(baseConfig(), AssignStrategy::Fdrt);
         pin_cfg.assign.fdrtPinning = true;
         SimConfig nopin_cfg = pin_cfg;
         nopin_cfg.assign.fdrtPinning = false;
+        runs.add(bench, pin_cfg, "pin");
+        runs.add(bench, nopin_cfg, "nopin");
+    }
+    runs.run();
 
-        const SimResult pin = simulate(bench, pin_cfg, budget);
-        const SimResult nopin = simulate(bench, nopin_cfg, budget);
+    TextTable table({"benchmark", "With Pinning", "No Pinning"});
+    double sp = 0, snp = 0;
+    for (const std::string &bench : selectedSix()) {
+        const SimResult &pin = runs.at(bench, "pin");
+        const SimResult &nopin = runs.at(bench, "nopin");
         table.row(bench)
             .percentCell(pin.pctIntraClusterFwd)
             .percentCell(nopin.pctIntraClusterFwd);

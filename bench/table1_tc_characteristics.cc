@@ -21,10 +21,15 @@ main(int argc, char **argv)
            "%TCInstr avg 88.3 (80.4..92.4); trace size avg 13.2",
            budget);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        runs.add(bench, baseConfig(), "base");
+    runs.run();
+
     TextTable table({"benchmark", "% TC Instr", "Trace Size"});
     double sum_pct = 0.0, sum_size = 0.0;
     for (const std::string &bench : selectedSix()) {
-        const SimResult r = simulate(bench, baseConfig(), budget);
+        const SimResult &r = runs.at(bench, "base");
         table.row(bench)
             .cell(r.pctFromTraceCache, 2)
             .cell(r.meanTraceSize, 2);

@@ -22,11 +22,16 @@ main(int argc, char **argv)
            "% deps critical avg 83.4; % critical inter-trace avg 27.8",
            budget);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        runs.add(bench, baseConfig(), "base");
+    runs.run();
+
     TextTable table({"benchmark", "% deps critical",
                      "% critical inter-trace"});
     double sum_crit = 0.0, sum_inter = 0.0;
     for (const std::string &bench : selectedSix()) {
-        const SimResult r = simulate(bench, baseConfig(), budget);
+        const SimResult &r = runs.at(bench, "base");
         table.row(bench)
             .percentCell(r.pctDepsCritical)
             .percentCell(r.pctCritInterTrace);

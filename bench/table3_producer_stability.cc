@@ -23,11 +23,16 @@ main(int argc, char **argv)
            "all RS1 97.1 / RS2 94.5; crit inter-trace RS1 90.3 / RS2 84.7",
            budget);
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        runs.add(bench, baseConfig(), "base");
+    runs.run();
+
     TextTable table({"benchmark", "RS1 (all)", "RS2 (all)",
                      "RS1 (crit inter)", "RS2 (crit inter)"});
     double s1 = 0, s2 = 0, s3 = 0, s4 = 0;
     for (const std::string &bench : selectedSix()) {
-        const SimResult r = simulate(bench, baseConfig(), budget);
+        const SimResult &r = runs.at(bench, "base");
         table.row(bench)
             .percentCell(r.repeatRs1)
             .percentCell(r.repeatRs2)

@@ -30,6 +30,13 @@ main(int argc, char **argv)
         {"FDRT", AssignStrategy::Fdrt},
     };
 
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
+    for (const std::string &bench : selectedSix())
+        for (const auto &mode : modes)
+            runs.add(bench, withStrategy(baseConfig(), mode.second),
+                     mode.first);
+    runs.run();
+
     TextTable intra({"benchmark", "Base", "Friendly", "FDRT"});
     TextTable dist({"benchmark", "Base", "Friendly", "FDRT"});
     std::vector<double> sum_intra(3, 0.0), sum_dist(3, 0.0);
@@ -37,8 +44,7 @@ main(int argc, char **argv)
         intra.row(bench);
         dist.row(bench);
         for (std::size_t m = 0; m < modes.size(); ++m) {
-            const SimResult r = simulate(
-                bench, withStrategy(baseConfig(), modes[m].second), budget);
+            const SimResult &r = runs.at(bench, modes[m].first);
             intra.percentCell(r.pctIntraClusterFwd);
             dist.cell(r.meanFwdDistance, 3);
             sum_intra[m] += r.pctIntraClusterFwd;

@@ -24,18 +24,24 @@ main(int argc, char **argv)
            "chain migration cut ~41% by pinning",
            budget);
 
-    TextTable table({"benchmark", "all (pin)", "all (no pin)",
-                     "all reduction", "chain (pin)", "chain (no pin)",
-                     "chain reduction"});
-    double sp = 0, snp = 0, scp = 0, scnp = 0;
+    MatrixHarness runs(budget, jobsFromArgs(argc, argv));
     for (const std::string &bench : selectedSix()) {
         SimConfig pin_cfg = withStrategy(baseConfig(), AssignStrategy::Fdrt);
         pin_cfg.assign.fdrtPinning = true;
         SimConfig nopin_cfg = pin_cfg;
         nopin_cfg.assign.fdrtPinning = false;
+        runs.add(bench, pin_cfg, "pin");
+        runs.add(bench, nopin_cfg, "nopin");
+    }
+    runs.run();
 
-        const SimResult pin = simulate(bench, pin_cfg, budget);
-        const SimResult nopin = simulate(bench, nopin_cfg, budget);
+    TextTable table({"benchmark", "all (pin)", "all (no pin)",
+                     "all reduction", "chain (pin)", "chain (no pin)",
+                     "chain reduction"});
+    double sp = 0, snp = 0, scp = 0, scnp = 0;
+    for (const std::string &bench : selectedSix()) {
+        const SimResult &pin = runs.at(bench, "pin");
+        const SimResult &nopin = runs.at(bench, "nopin");
         auto reduction = [](double with_pin, double without) {
             return without > 0.0
                 ? 100.0 * (without - with_pin) / without : 0.0;

@@ -85,17 +85,7 @@ parseStrategy(const std::string &value)
         spec.latency = static_cast<unsigned>(
             std::strtoul(lat.c_str(), nullptr, 10));
     }
-    if (name == "base")
-        spec.strategy = AssignStrategy::BaseSlotOrder;
-    else if (name == "friendly")
-        spec.strategy = AssignStrategy::Friendly;
-    else if (name == "fdrt")
-        spec.strategy = AssignStrategy::Fdrt;
-    else if (name == "issue-time")
-        spec.strategy = AssignStrategy::IssueTime;
-    else if (name == "adaptive")
-        spec.strategy = AssignStrategy::Adaptive;
-    else
+    if (!parseAssignStrategy(name, spec.strategy))
         bad("unknown strategy '" + name + "'");
     return spec;
 }
@@ -141,31 +131,16 @@ parseClusterCount(const std::string &value)
 struct PresetSpec
 {
     std::string label;
-    SimConfig (*make)();
+    PresetMaker make;
 };
 
 PresetSpec
 parsePreset(const std::string &value)
 {
-    if (value == "base")
-        return {value, baseConfig};
-    if (value == "mesh")
-        return {value, meshConfig};
-    if (value == "onecycle")
-        return {value, oneCycleForwardConfig};
-    if (value == "twocluster")
-        return {value, twoClusterConfig};
-    if (value == "bus")
-        return {value, busConfig};
-    if (value == "eightcluster")
-        return {value, eightClusterConfig};
-    if (value == "ring")
-        return {value, ringConfig};
-    if (value == "crossbar")
-        return {value, crossbarConfig};
-    if (value == "hier")
-        return {value, hierConfig};
-    bad("unknown preset '" + value + "'");
+    const PresetMaker make = findPreset(value);
+    if (make == nullptr)
+        bad("unknown preset '" + value + "'");
+    return {value, make};
 }
 
 std::uint64_t
@@ -307,11 +282,8 @@ parseMatrix(const std::string &spec,
                             if (strategy.latencySet)
                                 cfg.assign.issueTimeLatency =
                                     strategy.latency;
-                            if (topo.set) {
-                                cfg.cluster.mesh = false;
-                                cfg.cluster.bus = false;
+                            if (topo.set)
                                 cfg.cluster.topology = topo.topology;
-                            }
                             if (clusters != 0)
                                 applyMachineScale(
                                     cfg, clusters,

@@ -11,15 +11,6 @@ baseConfig()
 }
 
 SimConfig
-meshConfig()
-{
-    SimConfig cfg = baseConfig();
-    cfg.cluster.mesh = true;
-    cfg.validate();
-    return cfg;
-}
-
-SimConfig
 oneCycleForwardConfig()
 {
     SimConfig cfg = baseConfig();
@@ -32,7 +23,7 @@ SimConfig
 busConfig()
 {
     SimConfig cfg = baseConfig();
-    cfg.cluster.bus = true;
+    cfg.cluster.topology = Topology::Bus;
     cfg.validate();
     return cfg;
 }
@@ -98,6 +89,30 @@ applyMachineScale(SimConfig &cfg, unsigned num_clusters,
     cfg.core.issueWidth = width;
     cfg.core.retireWidth = width;
     cfg.core.robEntries = 8 * width;
+}
+
+PresetMaker
+findPreset(const std::string &name)
+{
+    static const struct
+    {
+        const char *name;
+        PresetMaker make;
+    } presets[] = {
+        {"base", baseConfig},
+        {"mesh", ringConfig},
+        {"onecycle", oneCycleForwardConfig},
+        {"twocluster", twoClusterConfig},
+        {"bus", busConfig},
+        {"eightcluster", eightClusterConfig},
+        {"ring", ringConfig},
+        {"crossbar", crossbarConfig},
+        {"hier", hierConfig},
+    };
+    for (const auto &preset : presets)
+        if (name == preset.name)
+            return preset.make;
+    return nullptr;
 }
 
 } // namespace ctcp

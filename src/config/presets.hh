@@ -2,9 +2,10 @@
  * @file
  * Named machine configurations used throughout the evaluation.
  *
- * baseConfig() is Table 7; the other three are the Figure 8 variants
- * (mesh interconnect, one-cycle forwarding, and the eight-wide
- * two-cluster machine).
+ * baseConfig() is Table 7; the Figure 8 variants are the ring (the
+ * paper's "mesh" interconnect), one-cycle forwarding and the eight-wide
+ * two-cluster machine. findPreset() is the one name table the CLI
+ * --preset flag and the campaign-matrix preset= axis share.
  */
 
 #ifndef CTCPSIM_CONFIG_PRESETS_HH
@@ -16,9 +17,6 @@ namespace ctcp {
 
 /** The paper's baseline: 16-wide, 4 clusters, 2-cycle hops, linear. */
 SimConfig baseConfig();
-
-/** Figure 8, group 1: mesh interconnect (end clusters adjacent). */
-SimConfig meshConfig();
 
 /** Figure 8, group 2: one-cycle inter-cluster forwarding per hop. */
 SimConfig oneCycleForwardConfig();
@@ -44,7 +42,10 @@ SimConfig busConfig();
  */
 SimConfig eightClusterConfig();
 
-/** Baseline machine on a ring interconnect (topology = Ring). */
+/**
+ * Baseline machine on a ring interconnect (topology = Ring): Figure 8,
+ * group 1, the paper's "mesh" with the end clusters adjacent.
+ */
 SimConfig ringConfig();
 
 /** Baseline machine on a full crossbar (every remote cluster 1 hop). */
@@ -67,6 +68,16 @@ SimConfig hierConfig();
  */
 void applyMachineScale(SimConfig &cfg, unsigned num_clusters,
                        unsigned cluster_width);
+
+/** A preset's builder, as returned by findPreset(). */
+using PresetMaker = SimConfig (*)();
+
+/**
+ * The preset named @p name: base, mesh (= ring), onecycle, twocluster,
+ * bus, eightcluster, ring, crossbar or hier; nullptr for an unknown
+ * name.
+ */
+PresetMaker findPreset(const std::string &name);
 
 } // namespace ctcp
 

@@ -33,21 +33,36 @@ topologyName(Topology t)
 }
 
 bool
+parseAssignStrategy(const std::string &name, AssignStrategy &out)
+{
+    for (const AssignStrategy s :
+         {AssignStrategy::BaseSlotOrder, AssignStrategy::Friendly,
+          AssignStrategy::Fdrt, AssignStrategy::IssueTime,
+          AssignStrategy::Adaptive}) {
+        if (name == assignStrategyName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
 parseTopology(const std::string &name, Topology &out)
 {
-    if (name == "linear")
-        out = Topology::LinearChain;
-    else if (name == "ring" || name == "mesh")
+    if (name == "mesh") {
         out = Topology::Ring;
-    else if (name == "crossbar")
-        out = Topology::Crossbar;
-    else if (name == "hier")
-        out = Topology::Hierarchical;
-    else if (name == "bus")
-        out = Topology::Bus;
-    else
-        return false;
-    return true;
+        return true;
+    }
+    for (const Topology t :
+         {Topology::LinearChain, Topology::Ring, Topology::Crossbar,
+          Topology::Hierarchical, Topology::Bus}) {
+        if (name == topologyName(t)) {
+            out = t;
+            return true;
+        }
+    }
+    return false;
 }
 
 // Configuration errors throw (SimError, category Config) instead of
@@ -66,17 +81,9 @@ SimConfig::validate() const
         config_error("clusterWidth must be positive");
     if (cluster.rsEntries == 0 || cluster.rsWritePorts == 0)
         config_error("reservation stations need entries and write ports");
-    if (cluster.effectiveTopology() == Topology::Bus &&
-        cluster.busBandwidth == 0)
+    if (cluster.topology == Topology::Bus && cluster.busBandwidth == 0)
         config_error("bus interconnect needs bandwidth of at least one");
-    if (cluster.bus && cluster.mesh)
-        config_error("bus and mesh interconnects are mutually exclusive");
-    if ((cluster.bus || cluster.mesh) &&
-        cluster.topology != Topology::LinearChain)
-        config_error("legacy mesh/bus flags cannot be combined with "
-                     "topology '%s'; set cluster.topology instead",
-                     topologyName(cluster.topology));
-    if (cluster.effectiveTopology() == Topology::Hierarchical &&
+    if (cluster.topology == Topology::Hierarchical &&
         cluster.hierGroupSize == 0)
         config_error("hierarchical topology needs hierGroupSize >= 1");
     if (assign.strategy == AssignStrategy::Adaptive) {

@@ -37,6 +37,9 @@ enum class AssignStrategy : std::uint8_t
 /** Human-readable strategy name. */
 const char *assignStrategyName(AssignStrategy s);
 
+/** Parse a strategy name; returns false on an unknown name. */
+bool parseAssignStrategy(const std::string &name, AssignStrategy &out);
+
 /**
  * Inter-cluster forwarding-network topology. Every topology is
  * expressed as an NxN distance matrix (cluster hops) plus an NxN
@@ -47,7 +50,10 @@ enum class Topology : std::uint8_t
 {
     /** Point-to-point chain; end clusters do not talk directly. */
     LinearChain,
-    /** Chain with the ends joined (the paper's Figure 8 "mesh"). */
+    /**
+     * Chain with the ends joined: the paper's Figure 8 "mesh", which
+     * the CLI and matrix specs also accept under that name.
+     */
     Ring,
     /** Full point-to-point crossbar: every remote cluster is one hop. */
     Crossbar,
@@ -64,7 +70,10 @@ enum class Topology : std::uint8_t
 /** Stable topology name used by the CLI and campaign-matrix specs. */
 const char *topologyName(Topology t);
 
-/** Parse a topology name; returns false on an unknown name. */
+/**
+ * Parse a topology name ("mesh" spells Ring); returns false on an
+ * unknown name.
+ */
 bool parseTopology(const std::string &name, Topology &out);
 
 /** Execution-cluster geometry and interconnect. */
@@ -85,37 +94,10 @@ struct ClusterConfig
     unsigned hierGroupSize = 2;
     /** Hierarchical: extra cycles on top of two hops across groups. */
     unsigned hierGroupLatency = 0;
-    /**
-     * Legacy alias for topology = Ring, kept so existing presets and
-     * flags keep meaning exactly what they meant. Must not be combined
-     * with a non-linear `topology`.
-     */
-    bool mesh = false;
-    /**
-     * Legacy alias for topology = Bus: inter-cluster results broadcast
-     * over a shared bus with uniform latency and limited bandwidth,
-     * instead of the point-to-point network (the alternative Parcerisa
-     * et al. argue against, modelled here for the ablation benches).
-     */
-    bool bus = false;
     /** Bus transfer latency (producer to any other cluster). */
     unsigned busLatency = 3;
     /** Broadcasts the bus can start per cycle. */
     unsigned busBandwidth = 1;
-
-    /**
-     * The topology after resolving the legacy mesh/bus aliases; the
-     * single source of truth the Interconnect is built from.
-     */
-    Topology
-    effectiveTopology() const
-    {
-        if (bus)
-            return Topology::Bus;
-        if (mesh)
-            return Topology::Ring;
-        return topology;
-    }
 };
 
 /** Trace cache geometry (2-way, 1K-entry, 3-cycle access in the paper). */
@@ -260,14 +242,6 @@ struct AblationConfig
 struct DebugConfig
 {
     /**
-     * When non-empty, write a per-event pipeline trace (fetch, rename,
-     * issue, dispatch, complete, retire) for the first `traceCycles`
-     * cycles to this file path.
-     */
-    std::string pipelineTracePath;
-    /** Cycles of pipeline trace to record. */
-    std::uint64_t traceCycles = 1000;
-    /**
      * Ignore the memoized per-trace-line dispatch plans and re-derive
      * slot→cluster / FU→station routing per fetched instruction, as if
      * the plan cache did not exist. Timing-neutral by construction;
@@ -290,6 +264,12 @@ struct ObsConfig
     std::string traceTextPath;
     /** Event-kind filter spec for ObsSink::parseFilter ("" = all). */
     std::string traceFilter;
+    /**
+     * Record events only for cycles below this bound (0 = the whole
+     * run). The sink's filter is cleared once the bound is reached,
+     * so the instrumented sites gain no extra branch.
+     */
+    std::uint64_t traceCycles = 0;
     /** Interval time-series output path ("" = off; .json for JSON). */
     std::string intervalPath;
     /** Interval sampling period in cycles (0 = off). */

@@ -207,7 +207,8 @@ class CtcpSimulator
      * Rename routes new instructions into issueQueue_ (issue-time
      * steering picks their cluster) instead of the per-cluster queues.
      * Fixed true for strategy IssueTime; toggled per phase by the
-     * adaptive chooser.
+     * adaptive chooser (rename follows a toggle once the structure the
+     * old mode filled has drained).
      */
     bool routeToIssueQueue_ = false;
 
@@ -292,15 +293,6 @@ class CtcpSimulator
      * Snapshot events through the obs sink, before a Hang abort.
      */
     void dumpPipelineSnapshot(const char *reason);
-
-    // Pipeline tracing (DebugConfig): one line per pipeline event for
-    // the first debug.traceCycles cycles.
-    FILE *traceFile_ = nullptr;
-    bool tracing() const
-    {
-        return traceFile_ != nullptr && cycle_ < cfg_.debug.traceCycles;
-    }
-    void traceEvent(const char *stage, const TimedInst &inst);
 
     // Counters.
     Counter condResolved_;

@@ -111,8 +111,7 @@ struct RunRegistry::Run
 };
 
 RunRegistry::RunRegistry(Config config)
-    : config_(std::move(config)), pool_(config_.workers),
-      cache_(config_.cacheEntries)
+    : config_(std::move(config)), pool_(config_.workers)
 {
     if (config_.stateDir.empty())
         throw SimError(ErrorCategory::Config,
@@ -152,9 +151,8 @@ RunRegistry::startLocked(Run &run)
     // cache throws the exact error a batch builder would, so failure
     // reports stay byte-identical too.
     for (campaign::Job &job : run.jobs) {
-        job.builder = [this, name = job.benchmark,
-                       limit = job.config.instructionLimit] {
-            return Program(*cache_.get(name, limit));
+        job.builder = [this, name = job.benchmark] {
+            return Program(*cache_.get(name));
         };
     }
     run.runner = std::thread(&RunRegistry::runnerMain, this, &run);

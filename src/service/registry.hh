@@ -80,8 +80,6 @@ class RunRegistry
         std::string stateDir;
         /** Shared pool size; 0 = one per hardware thread. */
         unsigned workers = 0;
-        /** WorkloadCache capacity. */
-        std::size_t cacheEntries = 64;
     };
 
     struct SubmitOptions

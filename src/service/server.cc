@@ -157,8 +157,6 @@ ServiceServer::ServiceServer(Config config)
                      "Workload cache hits.");
     metrics_.counter("ctcpd_workload_cache_misses_total",
                      "Workload cache misses.");
-    metrics_.counter("ctcpd_workload_cache_evictions_total",
-                     "Workload cache evictions.");
     metrics_.gauge("ctcpd_workload_cache_entries",
                    "Workloads currently cached.");
 }
@@ -204,7 +202,6 @@ ServiceServer::route(const HttpRequest &req)
                 ",\"workloadCache\":{\"hits\":" +
                 std::to_string(cache.hits) +
                 ",\"misses\":" + std::to_string(cache.misses) +
-                ",\"evictions\":" + std::to_string(cache.evictions) +
                 ",\"entries\":" + std::to_string(cache.entries) +
                 "}}\n";
             return resp;
@@ -445,8 +442,6 @@ ServiceServer::metricsExposition()
         .incTo(cache.hits);
     metrics_.counter("ctcpd_workload_cache_misses_total", "")
         .incTo(cache.misses);
-    metrics_.counter("ctcpd_workload_cache_evictions_total", "")
-        .incTo(cache.evictions);
     metrics_.gauge("ctcpd_workload_cache_entries", "")
         .set(static_cast<double>(cache.entries));
 

@@ -244,13 +244,12 @@ TEST(Accounting, BusWaitsBinAsSingleHop)
     EXPECT_EQ(acct(r, "slots.wait_fwd2"), 0.0);
     EXPECT_EQ(acct(r, "slots.wait_fwd3"), 0.0);
 
-    // The legacy flag spells the same machine; its run must be
+    // The "bus" preset name spells the same machine; its run must be
     // byte-identical, accounting included.
-    SimConfig legacy = baseConfig();
-    legacy.cluster.bus = true;
-    legacy.instructionLimit = 40'000;
-    legacy.obs.accounting = true;
-    const SimResult alias = CtcpSimulator(legacy, prog).run();
+    SimConfig named = findPreset("bus")();
+    named.instructionLimit = 40'000;
+    named.obs.accounting = true;
+    const SimResult alias = CtcpSimulator(named, prog).run();
     EXPECT_EQ(r.toJson(false, true), alias.toJson(false, true));
 }
 

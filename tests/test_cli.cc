@@ -158,4 +158,34 @@ TEST(CliJournal, KilledCampaignResumesAndExportsIdenticalReport)
     std::remove(out2.c_str());
 }
 
+/** Standard output of one ctcpsim run (stderr discarded). */
+std::string
+cliOutput(const std::string &args)
+{
+    const std::string cmd =
+        std::string(CTCP_CTCPSIM_PATH) + " " + args + " 2>/dev/null";
+    std::string text;
+    std::FILE *pipe = ::popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << cmd;
+    if (!pipe)
+        return text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        text.append(buf, n);
+    EXPECT_EQ(::pclose(pipe), 0) << cmd;
+    return text;
+}
+
+TEST(CliAliases, MeshIsASpellingOfTopologyRing)
+{
+    // --mesh resolves to --topology ring at parse time: the two runs
+    // are the same machine, byte for byte, and not the linear default.
+    const std::string run = "--bench gzip --instructions 20000 ";
+    const std::string mesh = cliOutput(run + "--mesh");
+    EXPECT_FALSE(mesh.empty());
+    EXPECT_EQ(mesh, cliOutput(run + "--topology ring"));
+    EXPECT_NE(mesh, cliOutput(run + "--topology linear"));
+}
+
 } // namespace

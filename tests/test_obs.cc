@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -245,6 +246,20 @@ struct TraceRun
     SimResult result;
 };
 
+/** Deletes its files when destroyed (at process exit for a static). */
+struct RemoveOnExit
+{
+    std::vector<std::string> paths;
+    RemoveOnExit() = default;
+    RemoveOnExit(const RemoveOnExit &) = delete;
+    RemoveOnExit &operator=(const RemoveOnExit &) = delete;
+    ~RemoveOnExit()
+    {
+        for (const std::string &path : paths)
+            std::remove(path.c_str());
+    }
+};
+
 /** One shared traced run; the expensive part happens once per binary. */
 const TraceRun &
 tracedRun()
@@ -260,6 +275,9 @@ tracedRun()
         r.jsonPath = dir + tag + ".trace.json";
         r.textPath = dir + tag + ".trace.txt";
         r.csvPath = dir + tag + ".intervals.csv";
+        // Every test process writes ~130 MB here; drop it at exit.
+        static RemoveOnExit cleanup;
+        cleanup.paths = {r.jsonPath, r.textPath, r.csvPath};
         SimConfig cfg = tracedConfig();
         cfg.obs.traceEventsPath = r.jsonPath;
         cfg.obs.traceTextPath = r.textPath;
@@ -544,6 +562,10 @@ TEST(ObsTrace, RerunIsByteIdentical)
     EXPECT_EQ(readFile(cfg.obs.traceEventsPath), readFile(run.jsonPath));
     EXPECT_EQ(readFile(cfg.obs.traceTextPath), readFile(run.textPath));
     EXPECT_EQ(readFile(cfg.obs.intervalPath), readFile(run.csvPath));
+    for (const std::string *path :
+         {&cfg.obs.traceEventsPath, &cfg.obs.traceTextPath,
+          &cfg.obs.intervalPath})
+        std::remove(path->c_str());
 }
 
 TEST(ObsTrace, TracingDoesNotPerturbTheSimulation)

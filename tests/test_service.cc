@@ -208,53 +208,38 @@ TEST(JournalTail, MissingFileIsEmptyNotFatal)
 
 // ---- Workload cache ----------------------------------------------------
 
-TEST(WorkloadCache, HitsMissesAndKeyedByBudget)
+TEST(WorkloadCache, HitsMissesAndKeyedByName)
 {
-    service::WorkloadCache cache(8);
-    const auto a = cache.get("gzip", 10'000);
-    const auto b = cache.get("gzip", 10'000);
+    service::WorkloadCache cache;
+    const auto a = cache.get("gzip");
+    const auto b = cache.get("gzip");
     EXPECT_EQ(a.get(), b.get()); // same cached image
-    // A different instruction budget is a different key: builders
-    // honour instructionLimit, so images are not interchangeable.
-    const auto c = cache.get("gzip", 20'000);
+    // The key is the name alone: workloads::build(name) takes no
+    // instruction budget, so every budget of gzip runs this image.
+    const auto c = cache.get("twolf");
     EXPECT_NE(a.get(), c.get());
+    EXPECT_EQ(a->name(), "gzip");
+    EXPECT_EQ(c->name(), "twolf");
 
     const service::WorkloadCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(WorkloadCache, EvictsLeastRecentlyUsed)
-{
-    service::WorkloadCache cache(2);
-    cache.get("gzip", 1'000);
-    cache.get("gzip", 2'000);
-    cache.get("gzip", 1'000);  // touch: 1'000 is now most recent
-    cache.get("gzip", 3'000);  // evicts 2'000
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    cache.get("gzip", 1'000); // still resident
-    EXPECT_EQ(cache.stats().hits, 2u);
-    cache.get("gzip", 2'000); // was evicted: a miss rebuilds it
-    EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(WorkloadCache, UnknownBenchmarkMatchesCampaignError)
 {
     // The cache must fail exactly like campaign::makeJob's builder so
     // a daemon-side failure report is byte-identical to the batch one.
-    service::WorkloadCache cache(4);
+    service::WorkloadCache cache;
     try {
-        cache.get("no_such_bench", 1'000);
+        cache.get("no_such_bench");
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
         EXPECT_EQ(std::string(e.what()),
                   "unknown benchmark 'no_such_bench'");
     }
-    // A rejected name never takes a slot or counts as a lookup.
+    // A rejected name never takes an entry or counts as a lookup.
     const service::WorkloadCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.misses, 0u);
     EXPECT_EQ(stats.hits, 0u);
@@ -264,17 +249,17 @@ TEST(WorkloadCache, UnknownBenchmarkMatchesCampaignError)
 TEST(WorkloadCache, ConcurrentFirstUseBuildsOnce)
 {
     // The daemon's shape: several pool workers start jobs on the same
-    // workload at once. The key must be built once; every other caller
+    // workload at once. The name must be built once; every other caller
     // waits on that build and counts as a hit.
     constexpr std::size_t callers = 8;
-    service::WorkloadCache cache(4);
+    service::WorkloadCache cache;
     std::latch start(callers);
     std::vector<std::shared_ptr<const Program>> got(callers);
     std::vector<std::thread> threads;
     for (std::size_t i = 0; i < callers; ++i)
         threads.emplace_back([&, i] {
             start.arrive_and_wait();
-            got[i] = cache.get("gzip", 5'000);
+            got[i] = cache.get("gzip");
         });
     for (auto &t : threads)
         t.join();
@@ -283,7 +268,6 @@ TEST(WorkloadCache, ConcurrentFirstUseBuildsOnce)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, callers - 1);
     EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.evictions, 0u);
     ASSERT_NE(got[0], nullptr);
     for (std::size_t i = 1; i < callers; ++i)
         EXPECT_EQ(got[i].get(), got[0].get()) << "caller " << i;
@@ -701,7 +685,6 @@ TEST_F(ServerRouting, MetricsExposeEveryFamilyOnAFreshServer)
           "ctcpd_resumed_runs_total", "ctcpd_resume_replayed_jobs_total",
           "ctcpd_workload_cache_hits_total",
           "ctcpd_workload_cache_misses_total",
-          "ctcpd_workload_cache_evictions_total",
           "ctcpd_workload_cache_entries"})
         EXPECT_NE(resp.body.find(std::string("# TYPE ") + family + " "),
                   std::string::npos)
@@ -731,6 +714,23 @@ TEST_F(ServerRouting, MetricsTrackJobAndCacheCountersAfterARun)
     EXPECT_EQ(resp.body.find("ctcpd_journal_bytes 0\n"),
               std::string::npos)
         << "journal bytes should be nonzero after a completed run";
+}
+
+TEST_F(ServerRouting, WorkloadCacheSharesOneImageAcrossBudgets)
+{
+    // Every budget of a benchmark runs the same Program, so a second
+    // budget of gzip is a hit on the first one's entry.
+    const std::string id =
+        submit("bench=gzip;strategy=base;budget=3000,5000");
+    waitDone(id);
+    const std::string body = get("/v1/metrics").body;
+    EXPECT_NE(body.find("ctcpd_workload_cache_misses_total 1\n"),
+              std::string::npos)
+        << body;
+    EXPECT_NE(body.find("ctcpd_workload_cache_hits_total 1\n"),
+              std::string::npos);
+    EXPECT_NE(body.find("ctcpd_workload_cache_entries 1\n"),
+              std::string::npos);
 }
 
 TEST_F(ServerRouting, TraceIdEchoesOnlyWhenSupplied)

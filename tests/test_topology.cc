@@ -1,7 +1,8 @@
 /**
  * @file
  * Topology abstraction tests: the distance/latency matrices of every
- * interconnect variant, the legacy mesh/bus flag aliases, and the
+ * interconnect variant, the mesh and bus names as spellings of
+ * topologies, and the
  * differential oracles that tie the new topologies to machines the
  * repo already trusts (crossbar == unbounded bus, 2-cluster ring ==
  * 2-cluster linear chain, one-group hierarchy == crossbar) — all
@@ -109,10 +110,12 @@ TEST(TopologyMatrix, BusIsUniformSingleHop)
 
 TEST(TopologyMatrix, LegacyFlagsAliasIntoTopologies)
 {
-    ClusterConfig mesh = baseConfig().cluster;
-    mesh.mesh = true;
-    EXPECT_EQ(mesh.effectiveTopology(), Topology::Ring);
-    const Interconnect mesh_icn(mesh);
+    // The paper's "mesh" and the shared bus are preset names, resolved
+    // into Topology values when the name is looked up.
+    const PresetMaker mesh = findPreset("mesh");
+    ASSERT_NE(mesh, nullptr);
+    EXPECT_EQ(mesh().cluster.topology, Topology::Ring);
+    const Interconnect mesh_icn(mesh().cluster);
     const Interconnect ring_icn(clusterConfig(Topology::Ring));
     for (int f = 0; f < 4; ++f)
         for (int t = 0; t < 4; ++t) {
@@ -120,10 +123,11 @@ TEST(TopologyMatrix, LegacyFlagsAliasIntoTopologies)
             EXPECT_EQ(mesh_icn.latency(f, t), ring_icn.latency(f, t));
         }
 
-    ClusterConfig bus = baseConfig().cluster;
-    bus.bus = true;
-    EXPECT_EQ(bus.effectiveTopology(), Topology::Bus);
-    EXPECT_TRUE(Interconnect(bus).isBus());
+    const PresetMaker bus = findPreset("bus");
+    ASSERT_NE(bus, nullptr);
+    EXPECT_EQ(bus().cluster.topology, Topology::Bus);
+    EXPECT_TRUE(Interconnect(bus().cluster).isBus());
+    EXPECT_EQ(findPreset("torus"), nullptr);
 }
 
 TEST(TopologyMatrix, NamesRoundTripAndMeshParsesAsRing)

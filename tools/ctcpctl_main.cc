@@ -242,11 +242,9 @@ cmdTop(double intervalSeconds, unsigned iterations)
             metricSum(m, "ctcpd_jobs_retried_total"),
             metricSum(m, "ctcpd_jobs_failed_total"));
         std::printf(
-            "  cache    %.0f hits, %.0f misses, %.0f evictions, "
-            "%.0f entries\n",
+            "  cache    %.0f hits, %.0f misses, %.0f entries\n",
             metricSum(m, "ctcpd_workload_cache_hits_total"),
             metricSum(m, "ctcpd_workload_cache_misses_total"),
-            metricSum(m, "ctcpd_workload_cache_evictions_total"),
             metricSum(m, "ctcpd_workload_cache_entries"));
         std::printf(
             "  http     %.0f requests, %.0f active, %.0f body bytes "
@@ -278,7 +276,6 @@ cmdStatsTable(const std::string &body)
         row("runs", doc.num("runs"));
         row("cache hits", cache->num("hits"));
         row("cache misses", cache->num("misses"));
-        row("cache evictions", cache->num("evictions"));
         row("cache entries", cache->num("entries"));
     } catch (const std::exception &) {
         die("malformed stats response: " + body);

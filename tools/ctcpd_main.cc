@@ -56,8 +56,6 @@ usage(const char *prog)
         "                      run (default: one per hardware\n"
         "                      thread); accepts the same values as\n"
         "                      ctcpsim --jobs\n"
-        "  --cache-entries N   workload setup cache capacity\n"
-        "                      (default 64)\n"
         "  --io-deadline SECS  per-connection budget for reading one\n"
         "                      request and writing one response\n"
         "                      (default 30; 0 = unbounded). A stalled\n"
@@ -98,7 +96,6 @@ main(int argc, char **argv)
     using namespace ctcp;
 
     service::ServiceServer::Config config;
-    unsigned long cache_entries = 64;
     std::string log_file;
     LogLevel log_level = LogLevel::Info;
 
@@ -128,13 +125,6 @@ main(int argc, char **argv)
             } catch (const std::invalid_argument &e) {
                 die(e.what());
             }
-        } else if (arg == "--cache-entries") {
-            char *end = nullptr;
-            const char *text = next_arg(i);
-            cache_entries = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0' || cache_entries == 0)
-                die(std::string("invalid --cache-entries '") + text +
-                    "'");
         } else if (arg == "--io-deadline") {
             char *end = nullptr;
             const char *text = next_arg(i);
@@ -159,7 +149,6 @@ main(int argc, char **argv)
         die("--socket is required");
     if (config.registry.stateDir.empty())
         config.registry.stateDir = config.socketPath + ".state";
-    config.registry.cacheEntries = cache_entries;
     if (!log_file.empty()) {
         std::string log_error;
         if (!logOpen(log_file, log_level, log_error))
@@ -178,18 +167,16 @@ main(int argc, char **argv)
         const std::string state_dir = config.registry.stateDir;
         service::ServiceServer server(std::move(config));
         std::fprintf(stderr,
-                     "ctcpd %s: socket %s, state %s, %u workers, "
-                     "cache %lu\n",
+                     "ctcpd %s: socket %s, state %s, %u workers\n",
                      CTCP_VERSION, socket.c_str(), state_dir.c_str(),
-                     server.registry().workers(), cache_entries);
+                     server.registry().workers());
         logRecord(LogLevel::Info, "server", "",
                   std::string("ctcpd ") + CTCP_VERSION + " starting",
                   {{"version", CTCP_VERSION},
                    {"socket", socket},
                    {"stateDir", state_dir},
                    {"workers",
-                    std::to_string(server.registry().workers())},
-                   {"cacheEntries", std::to_string(cache_entries)}});
+                    std::to_string(server.registry().workers())}});
         const std::size_t resumed = server.registry().resume();
         if (resumed)
             std::fprintf(stderr,

@@ -61,8 +61,9 @@ usage(const char *prog)
         "  --hop-latency N       cycles per cluster hop (default 2)\n"
         "  --topology T          linear | ring | crossbar | hier | bus\n"
         "                        (default linear)\n"
-        "  --mesh                alias for --topology ring\n"
-        "  --bus                 alias for --topology bus\n"
+        "  --mesh                spelling of --topology ring (the\n"
+        "                        paper's Figure 8 mesh)\n"
+        "  --bus                 spelling of --topology bus\n"
         "  --preset P            base | mesh | onecycle | twocluster |\n"
         "                        bus | eightcluster | ring | crossbar |\n"
         "                        hier\n"
@@ -72,8 +73,6 @@ usage(const char *prog)
         "  --host-timing         include host wall-clock metrics\n"
         "                        (host.*) in JSON output; off by\n"
         "                        default because they vary run to run\n"
-        "  --trace FILE          write a pipeline trace of the first\n"
-        "  --trace-cycles N      N cycles (default 1000) to FILE\n"
         "\n"
         "observability (src/obs):\n"
         "  --trace-events FILE   write Chrome trace_event JSON (open in\n"
@@ -81,6 +80,8 @@ usage(const char *prog)
         "                        campaign mode FILE is a directory and\n"
         "                        each job writes <label>.trace.json\n"
         "  --trace-text FILE     compact one-line-per-event text trace\n"
+        "  --trace-cycles N      record events only for the first N\n"
+        "                        cycles (default 0 = the whole run)\n"
         "  --trace-filter KINDS  comma-separated event kinds to record\n"
         "                        (fetch, tc-hit, tc-miss, trace-build,\n"
         "                        assign, rename, issue, execute,\n"
@@ -304,7 +305,6 @@ main(int argc, char **argv)
     using namespace ctcp;
 
     std::string bench = "gzip";
-    std::string preset = "base";
     SimConfig cfg = baseConfig();
     std::uint64_t instructions = 2'000'000;
     bool clusters_set = false;
@@ -356,17 +356,7 @@ main(int argc, char **argv)
             instructions = std::strtoull(next_arg(i), nullptr, 10);
         } else if (arg == "--strategy") {
             const std::string s = next_arg(i);
-            if (s == "base")
-                cfg.assign.strategy = AssignStrategy::BaseSlotOrder;
-            else if (s == "friendly")
-                cfg.assign.strategy = AssignStrategy::Friendly;
-            else if (s == "fdrt")
-                cfg.assign.strategy = AssignStrategy::Fdrt;
-            else if (s == "issue-time")
-                cfg.assign.strategy = AssignStrategy::IssueTime;
-            else if (s == "adaptive")
-                cfg.assign.strategy = AssignStrategy::Adaptive;
-            else
+            if (!parseAssignStrategy(s, cfg.assign.strategy))
                 die("unknown strategy '" + s + "'");
         } else if (arg == "--adaptive-interval") {
             cfg.assign.adaptiveInterval =
@@ -393,37 +383,19 @@ main(int argc, char **argv)
                 std::strtoul(next_arg(i), nullptr, 10));
         } else if (arg == "--topology") {
             const std::string t = next_arg(i);
-            cfg.cluster.mesh = false;
-            cfg.cluster.bus = false;
             if (!parseTopology(t, cfg.cluster.topology))
                 die("unknown topology '" + t + "'");
         } else if (arg == "--mesh") {
-            cfg.cluster.mesh = true;
+            cfg.cluster.topology = Topology::Ring;
         } else if (arg == "--bus") {
-            cfg.cluster.bus = true;
+            cfg.cluster.topology = Topology::Bus;
         } else if (arg == "--preset") {
-            preset = next_arg(i);
-            AssignConfig keep = cfg.assign;
-            if (preset == "base")
-                cfg = baseConfig();
-            else if (preset == "mesh")
-                cfg = meshConfig();
-            else if (preset == "onecycle")
-                cfg = oneCycleForwardConfig();
-            else if (preset == "twocluster")
-                cfg = twoClusterConfig();
-            else if (preset == "bus")
-                cfg = busConfig();
-            else if (preset == "eightcluster")
-                cfg = eightClusterConfig();
-            else if (preset == "ring")
-                cfg = ringConfig();
-            else if (preset == "crossbar")
-                cfg = crossbarConfig();
-            else if (preset == "hier")
-                cfg = hierConfig();
-            else
+            const std::string preset = next_arg(i);
+            const PresetMaker make = findPreset(preset);
+            if (make == nullptr)
                 die("unknown preset '" + preset + "'");
+            AssignConfig keep = cfg.assign;
+            cfg = make();
             cfg.assign.strategy = keep.strategy;
             cfg.assign.fdrtPinning = keep.fdrtPinning;
             cfg.assign.fdrtChains = keep.fdrtChains;
@@ -442,11 +414,8 @@ main(int argc, char **argv)
             json = true;
         } else if (arg == "--host-timing") {
             host_timing = true;
-        } else if (arg == "--trace") {
-            cfg.debug.pipelineTracePath = next_arg(i);
         } else if (arg == "--trace-cycles") {
-            cfg.debug.traceCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
+            cfg.obs.traceCycles = std::strtoull(next_arg(i), nullptr, 10);
         } else if (arg == "--trace-events") {
             trace_events = next_arg(i);
         } else if (arg == "--trace-text") {
