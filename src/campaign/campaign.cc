@@ -11,6 +11,7 @@
 #include "campaign/journal.hh"
 #include "campaign/persistent_pool.hh"
 #include "campaign/work_queue.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/simulator.hh"
 #include "obs/accounting.hh"
@@ -19,32 +20,6 @@
 namespace ctcp::campaign {
 
 namespace {
-
-/** JSON string escaping (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Re-indent an embedded JSON block: prefix every line but the first. */
 std::string
@@ -184,8 +159,8 @@ Report::toJson(bool include_host_timing, bool include_accounting) const
         const JobOutcome &job = jobs[i];
         out += i ? ",\n" : "\n";
         out += "    {\n";
-        out += "      \"label\": \"" + jsonEscape(job.label) + "\",\n";
-        out += "      \"benchmark\": \"" + jsonEscape(job.benchmark) +
+        out += "      \"label\": \"" + json::escape(job.label) + "\",\n";
+        out += "      \"benchmark\": \"" + json::escape(job.benchmark) +
                "\",\n";
         if (job.ok()) {
             out += "      \"status\": \"ok\",\n";
@@ -206,7 +181,7 @@ Report::toJson(bool include_host_timing, bool include_accounting) const
             out += "\",\n";
             out += "      \"attempts\": " +
                    std::to_string(job.attempts) + ",\n";
-            out += "      \"error\": \"" + jsonEscape(job.error) +
+            out += "      \"error\": \"" + json::escape(job.error) +
                    "\"\n";
         }
         out += "    }";

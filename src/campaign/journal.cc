@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 
@@ -13,38 +15,13 @@ namespace {
 
 // ---- Encoding ----------------------------------------------------------
 
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 put(std::string &out, const char *key, const std::string &value)
 {
     out += '"';
     out += key;
     out += "\":\"";
-    out += escape(value);
+    out += json::escape(value);
     out += "\",";
 }
 
@@ -109,7 +86,7 @@ encodeResult(const SimResult &r)
         first = false;
         char buf[192];
         std::snprintf(buf, sizeof(buf), "\"%s\":%.17g",
-                      escape(name).c_str(), value);
+                      json::escape(name).c_str(), value);
         out += buf;
     }
     out += "}";
@@ -125,7 +102,7 @@ encodeResult(const SimResult &r)
             first = false;
             char buf[192];
             std::snprintf(buf, sizeof(buf), "\"%s\":%.17g",
-                          escape(name).c_str(), value);
+                          json::escape(name).c_str(), value);
             out += buf;
         }
         out += "}";
@@ -136,230 +113,42 @@ encodeResult(const SimResult &r)
 
 // ---- Decoding ----------------------------------------------------------
 //
-// Minimal recursive-descent JSON parser, sufficient for the records
-// this file writes (objects, strings, numbers). Any deviation —
-// including a line truncated by a crash mid-append — makes a parse
-// function return false, and the caller skips the record.
-
-struct JsonValue
-{
-    enum class Kind : std::uint8_t { Null, Number, String, Object };
-
-    Kind kind = Kind::Null;
-    /** Raw numeric text; lets integers convert without a double trip. */
-    std::string number;
-    std::string str;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    find(const char *key) const
-    {
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        skipSpace();
-        if (!parseValue(out))
-            return false;
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.str);
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return parseNumber(out);
-        return false;
-    }
-
-    bool
-    parseObject(JsonValue &out)
-    {
-        if (!consume('{'))
-            return false;
-        out.kind = JsonValue::Kind::Object;
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            if (!consume(':'))
-                return false;
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return false;
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code |= h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code |= h - 'A' + 10;
-                    else
-                        return false;
-                }
-                // The encoder only emits \u00xx (control characters).
-                out += static_cast<char>(code & 0xff);
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false; // unterminated (truncated record)
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if ((c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                c == 'E' || c == '+' || c == '-')
-                ++pos_;
-            else
-                break;
-        }
-        if (pos_ == start)
-            return false;
-        out.kind = JsonValue::Kind::Number;
-        out.number = text_.substr(start, pos_ - start);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+// Records parse through json::parse; a line it rejects (including one
+// truncated by a crash mid-append) or a field of the wrong kind makes
+// the decode fail, and the caller skips the record.
 
 bool
-getString(const JsonValue &obj, const char *key, std::string &out)
+getString(const json::Value &obj, const char *key, std::string &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::String)
+    const json::Value *v = obj.find(key);
+    if (!v || !v->isString())
         return false;
-    out = v->str;
+    out = v->string;
     return true;
 }
 
 bool
-getU64(const JsonValue &obj, const char *key, std::uint64_t &out)
+getU64(const json::Value &obj, const char *key, std::uint64_t &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
+    const json::Value *v = obj.find(key);
+    if (!v || !v->isNumber())
         return false;
     out = std::strtoull(v->number.c_str(), nullptr, 10);
     return true;
 }
 
 bool
-getDouble(const JsonValue &obj, const char *key, double &out)
+getDouble(const json::Value &obj, const char *key, double &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
+    const json::Value *v = obj.find(key);
+    if (!v || !v->isNumber())
         return false;
-    out = std::strtod(v->number.c_str(), nullptr);
+    out = v->asNumber();
     return true;
 }
 
 bool
-decodeResult(const JsonValue &obj, SimResult &r)
+decodeResult(const json::Value &obj, SimResult &r)
 {
     bool ok = getString(obj, "benchmark", r.benchmark) &&
         getString(obj, "strategy", r.strategy) &&
@@ -393,25 +182,24 @@ decodeResult(const JsonValue &obj, SimResult &r)
         getString(obj, "statsText", r.statsText);
     if (!ok)
         return false;
-    const JsonValue *metrics = obj.find("metrics");
-    if (!metrics || metrics->kind != JsonValue::Kind::Object)
+    const json::Value *metrics = obj.find("metrics");
+    if (!metrics || !metrics->isObject())
         return false;
     r.metrics.clear();
     for (const auto &[name, value] : metrics->object) {
-        if (value.kind != JsonValue::Kind::Number)
+        if (!value.isNumber())
             return false;
-        r.metrics[name] = std::strtod(value.number.c_str(), nullptr);
+        r.metrics[name] = value.asNumber();
     }
     // Optional: only accounting-enabled runs write this block.
     r.accounting.clear();
-    if (const JsonValue *acct = obj.find("accounting")) {
-        if (acct->kind != JsonValue::Kind::Object)
+    if (const json::Value *acct = obj.find("accounting")) {
+        if (!acct->isObject())
             return false;
         for (const auto &[name, value] : acct->object) {
-            if (value.kind != JsonValue::Kind::Number)
+            if (!value.isNumber())
                 return false;
-            r.accounting[name] =
-                std::strtod(value.number.c_str(), nullptr);
+            r.accounting[name] = value.asNumber();
         }
     }
     return true;
@@ -444,9 +232,13 @@ encodeJournalRecord(std::size_t index, const JobOutcome &outcome)
 bool
 decodeJournalRecord(const std::string &line, JournalRecord &record)
 {
-    JsonValue root;
-    if (!Parser(line).parse(root) ||
-        root.kind != JsonValue::Kind::Object)
+    json::Value root;
+    try {
+        root = json::parse(line);
+    } catch (const std::exception &) {
+        return false;
+    }
+    if (!root.isObject())
         return false;
 
     JournalRecord parsed;
@@ -471,8 +263,8 @@ decodeJournalRecord(const std::string &line, JournalRecord &record)
     parsed.outcome.attempts =
         attempts ? static_cast<unsigned>(attempts) : 1;
     if (parsed.outcome.ok()) {
-        const JsonValue *result = root.find("result");
-        if (!result || result->kind != JsonValue::Kind::Object ||
+        const json::Value *result = root.find("result");
+        if (!result || !result->isObject() ||
             !decodeResult(*result, parsed.outcome.result))
             return false;
     }

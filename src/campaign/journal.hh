@@ -12,9 +12,11 @@
  *
  * The format tolerates a crash mid-append: a partial or corrupt
  * trailing line fails to decode and is skipped on load (that job
- * simply re-runs). Records whose index or label does not match the
- * campaign being resumed are ignored with a warning, so a stale
- * journal cannot inject foreign results.
+ * simply re-runs). Lines are read with the shared json::parse; any
+ * parse error, and any field of the wrong kind, counts as corrupt.
+ * Records whose index or label does not match the campaign being
+ * resumed are ignored with a warning, so a stale journal cannot
+ * inject foreign results.
  */
 
 #ifndef CTCPSIM_CAMPAIGN_JOURNAL_HH
@@ -45,8 +47,8 @@ std::string encodeJournalRecord(std::size_t index,
                                 const JobOutcome &outcome);
 
 /**
- * Parse one journal line. @return false (leaving @p record
- * untouched) when the line is truncated or corrupt.
+ * Parse one journal line; never throws. @return false (leaving
+ * @p record untouched) when the line is truncated or corrupt.
  */
 bool decodeJournalRecord(const std::string &line, JournalRecord &record);
 

@@ -55,4 +55,19 @@ atomicWriteFile(const std::string &path, const std::string &payload)
     file.commit();
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        throw std::runtime_error("cannot open '" + path + "'");
+    std::string text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        text.append(buf, n);
+    std::fclose(file);
+    return text;
+}
+
 } // namespace ctcp

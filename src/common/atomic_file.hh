@@ -4,6 +4,7 @@
  * rename() over the target on commit. An interrupted writer (crash,
  * kill, exception before commit) leaves the previous version of the
  * target untouched — consumers never observe a truncated file.
+ * readFile() is the matching whole-file reader.
  */
 
 #ifndef CTCPSIM_COMMON_ATOMIC_FILE_HH
@@ -52,6 +53,13 @@ class AtomicFile
 
 /** One-shot atomic write of @p payload to @p path. */
 void atomicWriteFile(const std::string &path, const std::string &payload);
+
+/**
+ * The whole content of @p path, read in binary mode.
+ * @throws std::runtime_error ("cannot open '<path>'") when the file
+ *         cannot be opened
+ */
+std::string readFile(const std::string &path);
 
 } // namespace ctcp
 

@@ -1,12 +1,13 @@
 #include "common/json.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace ctcp::json {
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
     for (const auto &[k, v] : object)
         if (k == key)
@@ -111,10 +112,14 @@ class Parser
     {
         const char c = peek();
         Value out;
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+            ++depth_;
+            out = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return out;
+        }
         if (c == '"') {
             out.kind = Value::Kind::String;
             out.string = parseString();
@@ -251,6 +256,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace
@@ -259,6 +265,32 @@ Value
 parse(const std::string &text)
 {
     return Parser(text).parseDocument();
+}
+
+std::string
+escape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace ctcp::json

@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "obs/accounting.hh"
 
@@ -322,11 +322,8 @@ loadIntervalSeries(const std::string &path, ReportView &view)
                                  "' does not exist");
     }
     for (const fs::path &file : files) {
-        std::ifstream in(file);
-        std::ostringstream text;
-        text << in.rdbuf();
-        view.intervals.push_back(
-            intervalSeriesFromCsv(file.stem().string(), text.str()));
+        view.intervals.push_back(intervalSeriesFromCsv(
+            file.stem().string(), readFile(file.string())));
     }
 }
 

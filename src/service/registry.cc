@@ -18,7 +18,6 @@
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "obs/report.hh"
-#include "service/http.hh"
 
 namespace ctcp::service {
 
@@ -45,21 +44,6 @@ makeDirs(const std::string &path)
             break;
         start = end + 1;
     }
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::string text;
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        text.append(buf, n);
-    std::fclose(file);
-    return text;
 }
 
 } // namespace
@@ -248,7 +232,7 @@ RunRegistry::submit(const std::string &spec, const SubmitOptions &options)
 
     // Persist the submission first: once submit() returns an id, a
     // daemon restart must be able to resume this run.
-    std::string record = "{\"spec\":\"" + jsonEscape(spec) + "\"";
+    std::string record = "{\"spec\":\"" + json::escape(spec) + "\"";
     record += ",\"accounting\":";
     record += options.accounting ? "true" : "false";
     record += ",\"maxAttempts\":" + std::to_string(options.maxAttempts);
@@ -290,11 +274,10 @@ RunRegistry::resume()
 
     std::size_t resumed = 0;
     for (const std::string &id : ids) {
-        const std::string text = slurp(specPath(id));
         SubmitOptions options;
         std::string spec;
         try {
-            const json::Value doc = json::parse(text);
+            const json::Value doc = json::parse(readFile(specPath(id)));
             spec = doc.str("spec");
             const json::Value *acc = doc.find("accounting");
             options.accounting = acc && acc->boolean;

@@ -143,6 +143,9 @@ FillUnit::finalize(Cycle now)
                 line.endsWithIndirect = true;
         }
     }
+    // A line that does not end on a branch ends inside one more block.
+    if (!isBranch(pending_.back().op))
+        ++blocks;
     line.numBlocks = static_cast<std::uint8_t>(blocks);
     line.successorPc = pending_.back().nextPc;
 

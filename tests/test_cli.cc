@@ -55,6 +55,20 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
               2);
 }
 
+TEST(CliExitCodes, SingleRunTraceFlagsInCampaignReturnTwo)
+{
+    // Campaign jobs cannot honour these, so they are rejected rather
+    // than silently ignored.
+    const std::string campaign =
+        "--campaign 'bench=gzip;strategy=base;budget=2000' ";
+    EXPECT_EQ(runCli(campaign + "--trace-text /tmp/ctcp_cli_tt.txt"), 2);
+    EXPECT_EQ(runCli(campaign + "--trace-cycles 100"), 2);
+    EXPECT_EQ(runCli(campaign + "--trace-text /tmp/ctcp_cli_tt.txt "
+                                "--trace-cycles 100"),
+              2);
+    EXPECT_EQ(runCli(campaign), 0);
+}
+
 TEST(CliExitCodes, BadIntervalReturnsTwo)
 {
     // --interval validation mirrors --jobs: reject junk up front with

@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for src/common: bit utilities, RNG determinism, the
- * circular queue, and the stats helpers.
+ * circular queue, the JSON reader and escaper, and the stats helpers.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitutil.hh"
 #include "common/circular_queue.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "common/small_vec.hh"
 #include "stats/stats.hh"
@@ -288,6 +289,77 @@ TEST(Counter, Accumulates)
     EXPECT_EQ(c.value(), 5u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(Json, ParsesNestedDocument)
+{
+    const json::Value doc = json::parse(
+        " {\"a\": [1, -2.5e3, true, null], \"s\": \"x\\u0001y\\n\","
+        " \"o\": {}} ");
+    ASSERT_TRUE(doc.isObject());
+    ASSERT_EQ(doc.object.size(), 3u);
+    EXPECT_EQ(doc.object[0].first, "a");   // document order kept
+    const json::Value *a = doc.find("a");
+    ASSERT_NE(a, nullptr);
+    ASSERT_TRUE(a->isArray());
+    ASSERT_EQ(a->array.size(), 4u);
+    EXPECT_EQ(a->array[0].number, "1");
+    EXPECT_DOUBLE_EQ(a->array[1].asNumber(), -2500.0);
+    EXPECT_EQ(a->array[2].kind, json::Value::Kind::Bool);
+    EXPECT_TRUE(a->array[2].boolean);
+    EXPECT_EQ(a->array[3].kind, json::Value::Kind::Null);
+    EXPECT_EQ(doc.str("s"), std::string("x\x01y\n"));
+    EXPECT_TRUE(doc.find("o")->isObject());
+    EXPECT_EQ(doc.find("missing"), nullptr);
+    EXPECT_EQ(doc.num("s", 7.0), 7.0);      // wrong kind: fallback
+
+    // The escaper's output reads back to the original bytes.
+    const std::string raw = "q\"b\\c\x01\x1f\t";
+    EXPECT_EQ(json::parse("\"" + json::escape(raw) + "\"").string, raw);
+}
+
+TEST(Json, MalformedInputThrows)
+{
+    const std::string doc = "{\"k\": [1, 2, {\"s\": \"text\"}]}";
+    EXPECT_NO_THROW(json::parse(doc));
+    for (std::size_t cut = 0; cut < doc.size(); ++cut)
+        EXPECT_THROW(json::parse(doc.substr(0, cut)), std::runtime_error)
+            << "accepted a document cut to " << cut << " bytes";
+    EXPECT_THROW(json::parse(doc + " x"), std::runtime_error);
+    EXPECT_THROW(json::parse("\"\\q\""), std::runtime_error);
+    EXPECT_THROW(json::parse("\"\\u00zz\""), std::runtime_error);
+}
+
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack)
+{
+    // A bare '{' fails at its missing key; "{\"k\":" nests for real.
+    for (const std::string level : {"[", "{", "{\"k\":"}) {
+        std::string text;
+        for (int i = 0; i < 100000; ++i)
+            text += level;
+        try {
+            json::parse(text);
+            ADD_FAILURE() << "accepted 100000 nested " << level;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("JSON parse error at byte"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The bound itself is accepted.
+    const std::string deepest = std::string(json::kMaxDepth, '[') +
+        std::string(json::kMaxDepth, ']');
+    EXPECT_NO_THROW(json::parse(deepest));
+    EXPECT_THROW(json::parse("[" + deepest + "]"), std::runtime_error);
+}
+
+TEST(Json, EscapeQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(json::escape("\r\t"), "\\r\\t");
+    EXPECT_EQ(json::escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+    EXPECT_EQ(json::escape("caf\xc3\xa9 /"), "caf\xc3\xa9 /");  // UTF-8 as is
 }
 
 } // namespace

@@ -150,6 +150,26 @@ TEST(JournalRecord, TruncatedLinesAreRejected)
             << "accepted a record cut to " << cut << " bytes";
     EXPECT_FALSE(campaign::decodeJournalRecord("not json at all", rec));
     EXPECT_FALSE(campaign::decodeJournalRecord("", rec));
+
+    // Well-formed JSON whose fields have the wrong kind.
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string text = line;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(campaign::decodeJournalRecord(
+        replaced("\"index\":3", "\"index\":true"), rec));
+    const std::size_t result = line.find("\"result\":");
+    ASSERT_NE(result, std::string::npos);
+    EXPECT_FALSE(campaign::decodeJournalRecord(
+        line.substr(0, result) + "\"result\":[]}", rec));
+    EXPECT_FALSE(campaign::decodeJournalRecord(
+        replaced("\"metrics\":{", "\"metrics\":{\"tc.hits\":\"12\","),
+        rec));
+    // The unedited line decodes, so each refusal above is its edit's.
+    EXPECT_TRUE(campaign::decodeJournalRecord(line, rec));
+    EXPECT_EQ(rec.index, 3u);
 }
 
 TEST(Journal, LoadToleratesCrashMidAppend)

@@ -156,12 +156,6 @@ TEST(Http, ResponseRoundTripsThroughClientParser)
     EXPECT_TRUE(found);
 }
 
-TEST(Http, JsonEscapeHandlesControlCharacters)
-{
-    EXPECT_EQ(service::jsonEscape("plain"), "plain");
-    EXPECT_EQ(service::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
 // ---- Journal tail reader (the /events wire format) ---------------------
 
 TEST(JournalTail, ServesCompleteLinesAndNeverTornTails)

@@ -203,7 +203,10 @@ TEST_F(FillUnitTest, SixteenInstructionLimit)
     EXPECT_EQ(fill_.tracesBuilt(), 1u);
     fill_.flush();
     EXPECT_EQ(fill_.tracesBuilt(), 2u);
-    EXPECT_NE(tc_.findByHash(TraceKey{0, 0, 0}.hash()), nullptr);
+    const TraceLine *line = tc_.findByHash(TraceKey{0, 0, 0}.hash());
+    ASSERT_NE(line, nullptr);
+    // A branch-free line is one basic block.
+    EXPECT_EQ(line->numBlocks, 1);
 }
 
 TEST_F(FillUnitTest, ThreeBlockLimit)

@@ -12,10 +12,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/atomic_file.hh"
 #include "obs/compare.hh"
 #include "obs/report.hh"
 
@@ -46,17 +45,6 @@ die(const std::string &msg)
 {
     std::fprintf(stderr, "ctcp_compare: %s (try --help)\n", msg.c_str());
     std::exit(2);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot open '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 double
@@ -119,9 +107,9 @@ main(int argc, char **argv)
     ctcp::report::Comparison cmp;
     try {
         const ctcp::report::ReportView baseline =
-            ctcp::report::fromJsonText(readFile(base_path));
+            ctcp::report::fromJsonText(ctcp::readFile(base_path));
         const ctcp::report::ReportView candidate =
-            ctcp::report::fromJsonText(readFile(cand_path));
+            ctcp::report::fromJsonText(ctcp::readFile(cand_path));
         cmp = ctcp::report::compareReports(baseline, candidate, tol);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ctcp_compare: %s\n", e.what());

@@ -17,11 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hh"
 #include "common/json.hh"
 
 namespace {
@@ -55,13 +54,14 @@ die(const std::string &msg)
 ctcp::json::Value
 loadJson(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        die("cannot open '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::string text;
     try {
-        return ctcp::json::parse(text.str());
+        text = ctcp::readFile(path);
+    } catch (const std::exception &e) {
+        die(e.what());
+    }
+    try {
+        return ctcp::json::parse(text);
     } catch (const std::exception &e) {
         die("malformed '" + path + "': " + e.what());
     }

@@ -11,8 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/atomic_file.hh"
@@ -46,17 +44,6 @@ die(const std::string &msg)
 {
     std::fprintf(stderr, "ctcp_report: %s (try --help)\n", msg.c_str());
     std::exit(2);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot open '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 } // namespace
@@ -109,7 +96,7 @@ main(int argc, char **argv)
 
     try {
         ctcp::report::ReportView view =
-            ctcp::report::fromJsonText(readFile(in_path));
+            ctcp::report::fromJsonText(ctcp::readFile(in_path));
         if (!intervals.empty())
             ctcp::report::loadIntervalSeries(intervals, view);
         ctcp::atomicWriteFile(out_path,

@@ -25,6 +25,7 @@
 
 #include <unistd.h>
 
+#include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "common/sim_error.hh"
 #include "common/version.hh"
@@ -414,12 +415,11 @@ cmdSubmit(const std::vector<std::string> &args)
         buffer << std::cin.rdbuf();
         spec = buffer.str();
     } else {
-        std::ifstream in(spec_path, std::ios::binary);
-        if (!in)
+        try {
+            spec = ctcp::readFile(spec_path);
+        } catch (const std::exception &) {
             die("cannot read spec file '" + spec_path + "'");
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        spec = buffer.str();
+        }
     }
     // Spec files may use one clause per line; the matrix grammar is
     // semicolon-separated and skips empty clauses, so newlines map

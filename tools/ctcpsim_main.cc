@@ -80,8 +80,10 @@ usage(const char *prog)
         "                        campaign mode FILE is a directory and\n"
         "                        each job writes <label>.trace.json\n"
         "  --trace-text FILE     compact one-line-per-event text trace\n"
+        "                        (single runs only)\n"
         "  --trace-cycles N      record events only for the first N\n"
-        "                        cycles (default 0 = the whole run)\n"
+        "                        cycles (default 0 = the whole run;\n"
+        "                        single runs only)\n"
         "  --trace-filter KINDS  comma-separated event kinds to record\n"
         "                        (fetch, tc-hit, tc-miss, trace-build,\n"
         "                        assign, rename, issue, execute,\n"
@@ -319,6 +321,7 @@ main(int argc, char **argv)
     std::string out_path;
     std::string trace_events;
     std::string trace_text;
+    bool trace_cycles_set = false;
     std::string trace_filter;
     std::string interval_stats;
     Cycle interval_cycles = 10'000;
@@ -416,6 +419,7 @@ main(int argc, char **argv)
             host_timing = true;
         } else if (arg == "--trace-cycles") {
             cfg.obs.traceCycles = std::strtoull(next_arg(i), nullptr, 10);
+            trace_cycles_set = true;
         } else if (arg == "--trace-events") {
             trace_events = next_arg(i);
         } else if (arg == "--trace-text") {
@@ -475,6 +479,9 @@ main(int argc, char **argv)
     }
 
     if (campaign_set) {
+        if (!trace_text.empty() || trace_cycles_set)
+            die("--trace-text and --trace-cycles apply to single runs "
+                "only, not --campaign");
         campaign::Options options;
         options.jobs = campaign_jobs;
         options.traceEventsDir = trace_events;
